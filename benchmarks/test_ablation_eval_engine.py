@@ -1,21 +1,19 @@
-"""Ablation: compiled vs. interpreted predicate-evaluation engines.
+"""Ablation: compiled predicate closures vs. the interpreter fallback.
 
 ``GlobalizedPredicate.holds`` is the hottest call in the runtime — every
-candidate entry on every monitor exit — so the evaluation engine is the
-single biggest per-evaluation lever.  This ablation measures it two ways:
+candidate entry on every monitor exit — so compiling predicates is the
+single biggest per-evaluation lever.  This ablation runs a tight loop over
+the actual ``waituntil`` predicates of the bounded-buffer and
+readers-writers problems, comparing the tree-walking interpreter (the
+fallback the runtime takes when codegen declines a predicate or a closure
+is quarantined) against the codegen closure.  The acceptance bar is a >= 2x
+speedup on both workloads.  A macro leg then runs each problem to
+saturation twice: once as shipped, and once with codegen declining every
+expression so the real fallback serves all evaluations, checking the
+counter attribution of each and recording wall times.
 
-* **micro**: a tight loop over the actual ``waituntil`` predicates of the
-  bounded-buffer and readers-writers problems, comparing the tree-walking
-  interpreter against the codegen closure.  The acceptance bar is a >= 2x
-  speedup on both workloads.
-* **macro**: full saturation runs of each problem under
-  ``eval_engine="interpreted"`` vs ``"compiled"``, checking that the
-  compiled engine really serves the evaluations (counter attribution) and
-  recording wall times.
-
-Results are written to ``BENCH_eval_engine.json`` at the repository root —
-the start of the perf trajectory for the evaluation engine; CI uploads the
-file as an artifact.
+Results are written to ``BENCH_eval_engine.json`` at the repository root;
+CI uploads the file as an artifact.
 """
 
 from __future__ import annotations
@@ -25,8 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.predicates import ENGINES, compile_predicate
+import repro.predicates.predicate as predicate_module
+from repro.predicates import compile_predicate
 from repro.predicates.evaluator import _EMPTY_LOCALS, evaluate, read_shared
+from repro.predicates.predicate import clear_predicate_memo
 
 from conftest import run_problem_once
 
@@ -36,8 +36,12 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_eval_engine.json"
 #: Evaluations per timing sample in the micro benchmark.
 MICRO_ITERATIONS = 20_000
 
-#: Required micro speedup of the compiled engine (acceptance bar).
+#: Required speedup of compiled closures over the interpreter (acceptance bar).
 REQUIRED_SPEEDUP = 2.0
+
+#: The macro leg's evaluation paths: the codegen closures, or the
+#: interpreter fallback with codegen declining every expression.
+EVAL_PATHS = ("compiled", "interpreted")
 
 
 class _BufferState:
@@ -84,27 +88,7 @@ WORKLOAD_PREDICATES = {
 }
 
 #: Collected results, flushed to RESULTS_PATH by the module fixture below.
-_RESULTS: dict = {
-    "holds_microbench": {},
-    "workloads": {},
-    # Findings worth keeping next to the numbers they explain.
-    "notes": {
-        "readers_writers_small_scale_crossover": (
-            "At 400-op scale the interpreted engine can beat compiled wall "
-            "time on readers_writers even though compiled is ~7x faster per "
-            "evaluation.  Cause: the problem's predicates are complex, so "
-            "every thread's globalization (serving == <id> and ...) is a "
-            "distinct form paying one-time codegen compilation that ~384 "
-            "evaluations cannot amortize; and tag pruning leaves at most one "
-            "candidate per relay pass, so the per-pass EvalContext never "
-            "re-reads a shared variable (shared_read_cache_hits == 0) and "
-            "per-evaluation savings are all there is.  The crossover "
-            "disappears at larger total_ops; wall times recorded here are "
-            "best-of-rounds minima to keep scheduler noise out of the "
-            "comparison."
-        ),
-    },
-}
+_RESULTS: dict = {"holds_microbench": {}, "workloads": {}}
 
 
 def _globalized_forms(problem: str):
@@ -155,7 +139,7 @@ def _write_results():
 
 @pytest.mark.parametrize("problem", sorted(WORKLOAD_PREDICATES))
 def test_compiled_holds_speedup(benchmark, problem):
-    """The compiled engine must evaluate the problem's own predicates at
+    """Compiled closures must evaluate the problem's own predicates at
     least 2x faster than the interpreter."""
 
     def compare():
@@ -174,39 +158,49 @@ def test_compiled_holds_speedup(benchmark, problem):
     }
     benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"compiled engine only {speedup:.2f}x faster than interpreted "
+        f"compiled closures only {speedup:.2f}x faster than the interpreter "
         f"on {problem} (required: {REQUIRED_SPEEDUP}x)"
     )
 
 
 @pytest.mark.parametrize("problem", sorted(WORKLOAD_PREDICATES))
-@pytest.mark.parametrize("engine", ENGINES)
-def test_eval_engine_workload(benchmark, problem, engine):
-    """Full saturation runs per engine: counters must attribute the
-    evaluations to the selected engine, and wall times feed the JSON."""
+@pytest.mark.parametrize("engine", EVAL_PATHS)
+def test_eval_engine_workload(benchmark, monkeypatch, problem, engine):
+    """Full saturation runs per evaluation path: counters must attribute
+    the evaluations to that path, and wall times feed the JSON."""
+    if engine == "interpreted":
+        # Codegen declines every closure and fused batch, so the monitor
+        # takes its interpreter fallback for every evaluation.  The
+        # process-wide memo holds batch handles, so it is rebuilt on both
+        # sides of the patched run.
+        monkeypatch.setattr(predicate_module, "compile_expr", lambda expr: None)
+        monkeypatch.setattr(predicate_module, "compile_batch", lambda shape: None)
+        clear_predicate_memo()
     rounds = []
 
     def run():
-        result = run_problem_once(
-            problem, "autosynch", threads=4, total_ops=400, eval_engine=engine
-        )
+        result = run_problem_once(problem, "autosynch", threads=4, total_ops=400)
         rounds.append(result)
         return result
 
-    benchmark.pedantic(run, rounds=3, iterations=1)
+    try:
+        benchmark.pedantic(run, rounds=3, iterations=1)
+    finally:
+        clear_predicate_memo()
     # Best-of-rounds: at this scale (a few hundred evaluations, tens of ms)
-    # the run-to-run scheduler noise is larger than the engines' wall-time
+    # the run-to-run scheduler noise is larger than the paths' wall-time
     # difference, so the minimum is the only comparable statistic.
     result = min(rounds, key=lambda r: r.wall_time)
     stats = result.monitor_stats
     if engine == "compiled":
         assert stats["compiled_evaluations"] > 0
-        # The fallback interpreter must not have been needed: every workload
-        # predicate is codegen-supported.
+        # The fallback must not have been needed: every workload predicate
+        # is codegen-supported.
         assert stats["interpreted_evaluations"] == 0
     else:
         assert stats["compiled_evaluations"] == 0
         assert stats["interpreted_evaluations"] > 0
+    assert stats["predicate_quarantines"] == 0
     _RESULTS["workloads"].setdefault(problem, {})[engine] = {
         "wall_time": result.wall_time,
         "per_op_us": result.wall_time * 1e6 / result.operations,

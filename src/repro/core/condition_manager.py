@@ -23,9 +23,10 @@ dicts) per hand-off: the monitor lock is held
 for the whole pass, so shared state cannot change mid-pass, and the context
 memoizes shared-variable and shared-expression reads — a batch of N entries
 over the same shared expression costs one read instead of N.  The context
-also selects the evaluation engine (``eval_engine="compiled"`` for the
-codegen closures of :mod:`repro.predicates.codegen`, ``"interpreted"`` for
-the tree walker) and attributes per-engine counters to the monitor stats.
+evaluates each predicate through its codegen closure
+(:mod:`repro.predicates.codegen`), falling back to the tree walker when
+codegen declined it or the closure was quarantined, and attributes the
+compiled/interpreted split to the monitor stats.
 
 Two generalizations serve the pluggable signalling policies
 (:mod:`repro.core.signalling`): ``signal_many(limit)`` amortizes one search
@@ -47,7 +48,6 @@ from repro.core.instrumentation import MonitorStats
 from repro.core.write_tracking import SCALAR_TYPES, WriteTracker
 from repro.predicates import EvalContext, EvaluationError, TagKind
 from repro.predicates.ast_nodes import Expr
-from repro.predicates.codegen import DEFAULT_ENGINE, validate_engine
 from repro.predicates.evaluator import _EMPTY_LOCALS
 from repro.predicates.predicate import GlobalizedPredicate
 from repro.runtime.api import Backend, ConditionAPI, LockAPI
@@ -141,7 +141,6 @@ class ConditionManager:
         use_tags: bool = True,
         inactive_capacity: int = DEFAULT_INACTIVE_CAPACITY,
         tracer: Optional[object] = None,
-        eval_engine: str = DEFAULT_ENGINE,
         write_tracker: Optional[WriteTracker] = None,
     ) -> None:
         self._owner = owner
@@ -149,17 +148,11 @@ class ConditionManager:
         self._lock = lock
         self._stats = stats
         self.use_tags = use_tags
-        self.eval_engine = validate_engine(eval_engine)
         self._inactive_capacity = inactive_capacity
         self._tracer = tracer
-        # Incremental relay needs both a tracker (the monitor supports and
-        # wants write tracking) and the compiled engine; the interpreted
-        # engine stays a pure exhaustive baseline for the ablation study.
-        self._tracker = (
-            write_tracker
-            if write_tracker is not None and self.eval_engine == "compiled"
-            else None
-        )
+        # Incremental relay runs whenever the monitor supplies a tracker
+        # (it supports and wants write tracking); None means exhaustive.
+        self._tracker = write_tracker
         #: Names the owning monitor class declares it writes through tracked
         #: stores (scenario-compiled monitors); reads of these never need the
         #: scalar-type check in :meth:`_mark_clean`.
@@ -434,7 +427,7 @@ class ConditionManager:
             ctx.reset()
             return ctx
         self._stats.eval_context_allocations += 1
-        ctx = EvalContext(self._owner, engine=self.eval_engine, stats=self._stats)
+        ctx = EvalContext(self._owner, stats=self._stats)
         if self._pooled_ctx is None:
             self._pooled_ctx = ctx
             self._pooled_ctx_busy = True
@@ -558,9 +551,9 @@ class ConditionManager:
         will never be honoured.
         """
         # A stats-less context: the validate-mode recheck is diagnostic and
-        # must not skew the engine-attribution counters (which would break
+        # must not skew the compiled/interpreted counters (which would break
         # the invariant compiled + interpreted == predicate_evaluations).
-        ctx = EvalContext(self._owner, engine=self.eval_engine)
+        ctx = EvalContext(self._owner)
         for entry in self._table.values():
             if not entry.active:
                 continue
@@ -787,20 +780,18 @@ class ConditionManager:
     ) -> int:
         """Evaluate *candidates* (already filtered) and signal the true ones.
 
-        When several candidates are evaluated per pass (``limit > 1``) and
-        the compiled engine is active, candidates are grouped by predicate
-        *shape* and each group is evaluated through one fused batch closure
-        (see :func:`repro.predicates.codegen.compile_batch`) — one generated
-        loop sharing one EvalContext instead of one call per predicate.
+        When several candidates are evaluated per pass (``limit > 1``),
+        candidates are grouped by predicate *shape* and each group is
+        evaluated through one fused batch closure (see
+        :func:`repro.predicates.codegen.compile_batch`) — one generated loop
+        sharing one EvalContext instead of one call per predicate.
         Chunking bounds how far past the limit a batch may evaluate;
         falseness established beyond the limit is still recorded as clean.
         """
         stats = self._stats
         tracker = self._tracker
         signalled = 0
-        use_batch = (
-            limit > 1 and len(candidates) > 1 and self.eval_engine == "compiled"
-        )
+        use_batch = limit > 1 and len(candidates) > 1
         for start in range(0, len(candidates), BATCH_CHUNK):
             if signalled >= limit:
                 break

@@ -1,10 +1,11 @@
 """Counters and timers used to reproduce the paper's measurements.
 
 ``MonitorStats`` collects both event counters (predicate evaluations, relay
-signals, wake-ups, tag-structure activity, compiled-vs-interpreted engine
+signals, wake-ups, tag-structure activity, compiled-vs-interpreted
 attribution and EvalContext cache hits) and, when profiling is enabled,
 wall-clock time buckets matching Table 1 of the paper (await / lock /
-relaySignal / tag manager / others) plus per-engine evaluation timings.
+relaySignal / tag manager / others) plus compiled/interpreted evaluation
+timings.
 
 The counters are updated while the monitor lock is held, so no extra
 synchronization is needed on top of it.
@@ -39,7 +40,7 @@ class MonitorStats:
     exhaustive_checks: int = 0
     tag_insertions: int = 0
     tag_removals: int = 0
-    #: Predicate evaluations served by the compiled (codegen) engine.
+    #: Predicate evaluations served by compiled (codegen) closures.
     compiled_evaluations: int = 0
     #: Predicate evaluations served by the tree-walking interpreter.
     interpreted_evaluations: int = 0
@@ -63,7 +64,7 @@ class MonitorStats:
     batched_evaluations: int = 0
     #: Timed ``wait_until`` calls that gave up (raised ``WaitTimeout``).
     wait_timeouts: int = 0
-    #: Predicates demoted from the compiled engine to the interpreter after
+    #: Predicates demoted from compiled closures to the interpreter after
     #: their compiled closure raised a non-semantic error (self-healing
     #: degradation; the run continues on the interpreter).
     predicate_quarantines: int = 0

@@ -51,8 +51,7 @@ from repro.core.instrumentation import MonitorStats
 from repro.core.signalling import SignallingPolicy, create_policy
 from repro.core.write_tracking import WriteTracker, incremental_enabled
 from repro.predicates.classify import ClassificationError
-from repro.predicates.codegen import DEFAULT_ENGINE, validate_engine
-from repro.predicates.evaluator import _EMPTY_LOCALS, read_shared
+from repro.predicates.evaluator import _EMPTY_LOCALS, evaluate_bool, read_shared
 from repro.predicates.predicate import (
     CompiledPredicate,
     GlobalizedPredicate,
@@ -252,23 +251,18 @@ class AutoSynchMonitor(MonitorBase):
     validate:
         Check the relay-invariance property after every relay step that
         signalled nobody (slow; used by the validation sweeps).
-    eval_engine:
-        Predicate-evaluation engine: ``"compiled"`` (the default — each
-        predicate is lowered to a native Python closure, with transparent
-        fallback to the interpreter for anything codegen declines) or
-        ``"interpreted"`` (the tree-walking evaluator; the ablation
-        baseline).
-    incremental_relay:
-        Whether relay passes may use dirty-set search (skip re-evaluating
-        predicates none of whose shared variables were written since their
-        last false evaluation).  ``None`` — the default — defers to the
-        process-wide toggle
-        (:func:`repro.core.write_tracking.incremental_enabled`).  Either
-        way the monitor silently falls back to exhaustive search whenever
-        write tracking cannot be trusted (a subclass overriding
-        ``__setattr__``, preprocessor-transformed classes, the interpreted
-        engine) — incremental relay is a pure optimisation, never a
-        behaviour change.
+
+    Notes
+    -----
+    Predicates are evaluated through compiled closures, falling back to the
+    interpreter for anything codegen declines and for closures quarantined
+    after misbehaving.  Relay passes use dirty-set search (skip
+    re-evaluating predicates none of whose shared variables were written
+    since their last false evaluation) unless write tracking cannot be
+    trusted for the class (a subclass overriding ``__setattr__``,
+    preprocessor-transformed classes), in which case they search
+    exhaustively — incremental relay is a pure optimisation, never a
+    behaviour change.
     """
 
     #: The monitor's write tracker (None when incremental relay is off or
@@ -289,8 +283,6 @@ class AutoSynchMonitor(MonitorBase):
         inactive_capacity: int = DEFAULT_INACTIVE_CAPACITY,
         tracer: Optional[object] = None,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
-        incremental_relay: Optional[bool] = None,
         wait_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(backend, profile, tracer)
@@ -299,16 +291,10 @@ class AutoSynchMonitor(MonitorBase):
         #: its own (None: wait forever).  Measured in the backend's time
         #: units — seconds on real threads, scheduling steps under simulation.
         self._wait_timeout = wait_timeout
-        self._eval_engine = validate_engine(eval_engine)
         self._inactive_capacity = inactive_capacity
         self._predicate_cache: Dict[Tuple[str, frozenset], CompiledPredicate] = {}
         self._shared_name_cache: Optional[frozenset] = None
-        wants_tracking = (
-            incremental_relay
-            if incremental_relay is not None
-            else incremental_enabled()
-        )
-        if wants_tracking and self._write_tracking_supported():
+        if incremental_enabled() and self._write_tracking_supported():
             self._write_tracker = WriteTracker()
         if isinstance(signalling, str):
             try:
@@ -384,11 +370,6 @@ class AutoSynchMonitor(MonitorBase):
         return self._policy.name
 
     @property
-    def eval_engine(self) -> str:
-        """The predicate-evaluation engine (``"compiled"``/``"interpreted"``)."""
-        return self._eval_engine
-
-    @property
     def signalling_policy(self) -> SignallingPolicy:
         """The bound :class:`SignallingPolicy` strategy object."""
         return self._policy
@@ -452,73 +433,47 @@ class AutoSynchMonitor(MonitorBase):
             use_tags=use_tags,
             inactive_capacity=self._inactive_capacity,
             tracer=self._tracer,
-            eval_engine=self._eval_engine,
             write_tracker=self._write_tracker if incremental else None,
         )
 
     def _evaluate_predicate(
-        self, compiled: CompiledPredicate, local_values: Optional[Mapping[str, object]]
+        self,
+        predicate: CompiledPredicate | GlobalizedPredicate,
+        local_values: Optional[Mapping[str, object]] = None,
     ) -> bool:
-        """Evaluate a (possibly complex) predicate with the configured engine.
+        """Evaluate *predicate* on behalf of the calling thread.
 
-        Used for the checks performed by the calling thread itself — the
-        initial ``wait_until`` test and the broadcast policy's re-check —
-        where local values are still live.
-        """
-        note = self._fp_note_reads
-        if note is not None:
-            note(compiled.shared_names)
-        stats = self._stats
-        stats.predicate_evaluations += 1
-        if self._eval_engine == "compiled":
-            fn = compiled.compiled_fn()
-            if fn is not None:
-                stats.compiled_evaluations += 1
-                try:
-                    hook = self._fault_hook
-                    if hook is not None:
-                        hook.on_compiled_eval(self)
-                    with stats.time_bucket("compiled_eval_time"):
-                        return bool(
-                            fn(self, read_shared, local_values or _EMPTY_LOCALS)
-                        )
-                except EvaluationError:
-                    raise
-                except Exception:
-                    self._quarantine(compiled, stats)
-        stats.interpreted_evaluations += 1
-        with stats.time_bucket("interpreted_eval_time"):
-            return compiled.evaluate(self, local_values)
-
-    def _predicate_holds(self, globalized: GlobalizedPredicate) -> bool:
-        """Evaluate a globalized predicate with the configured engine.
-
-        Used by the relay policies' wakeup re-check; the condition manager's
-        batch searches instead evaluate through a shared per-pass
+        Takes the predicate's compiled closure, or the interpreter when
+        codegen declined it or the closure is quarantined.  Used for the
+        checks the calling thread performs itself — the initial
+        ``wait_until`` test and the broadcast policy's re-check, where
+        *local_values* are still live, and the relay policies' wakeup
+        re-check of a globalized predicate.  The condition manager's batch
+        searches instead evaluate through a shared per-pass
         :class:`~repro.predicates.evaluator.EvalContext`.
         """
         note = self._fp_note_reads
         if note is not None:
-            note(globalized.read_set())
+            note(predicate.read_set())
         stats = self._stats
         stats.predicate_evaluations += 1
-        if self._eval_engine == "compiled":
-            fn = globalized.compiled_fn()
-            if fn is not None:
-                stats.compiled_evaluations += 1
-                try:
-                    hook = self._fault_hook
-                    if hook is not None:
-                        hook.on_compiled_eval(self)
-                    with stats.time_bucket("compiled_eval_time"):
-                        return bool(fn(self, read_shared, _EMPTY_LOCALS))
-                except EvaluationError:
-                    raise
-                except Exception:
-                    self._quarantine(globalized, stats)
+        locals_map = local_values or _EMPTY_LOCALS
+        fn = predicate.compiled_fn()
+        if fn is not None:
+            stats.compiled_evaluations += 1
+            try:
+                hook = self._fault_hook
+                if hook is not None:
+                    hook.on_compiled_eval(self)
+                with stats.time_bucket("compiled_eval_time"):
+                    return bool(fn(self, read_shared, locals_map))
+            except EvaluationError:
+                raise
+            except Exception:
+                self._quarantine(predicate, stats)
         stats.interpreted_evaluations += 1
         with stats.time_bucket("interpreted_eval_time"):
-            return globalized.holds(self)
+            return evaluate_bool(predicate.expr, self, locals_map)
 
     @staticmethod
     def _quarantine(predicate: object, stats: MonitorStats) -> None:

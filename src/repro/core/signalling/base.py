@@ -245,7 +245,7 @@ class RelayPolicyBase(SignallingPolicy):
                     # An expired wait consumed no signal; a promise made to
                     # this entry stays valid for its remaining waiters.
                     self.consume(entry)
-                if monitor._predicate_holds(globalized):
+                if monitor._evaluate_predicate(globalized):
                     monitor._trace("wakeup", predicate=entry.canonical)
                     return
                 if deadline is not None and backend.now() >= deadline:

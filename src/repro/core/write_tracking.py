@@ -18,10 +18,13 @@ be immutable scalars — or names declared in the monitor's
 ``_tracked_write_names`` (scenario monitors, where *every* mutation goes
 through a compiled assignment) — before trusting the version vector.
 
-The module-level toggle (:func:`set_incremental_enabled`) exists for the
-equivalence property suite: it flips new monitors between the incremental
-and the exhaustive search without touching any other configuration, so the
-two can be compared observationally on otherwise identical runs.
+Monitors fall back to exhaustive search on their own wherever skipping
+cannot be proved sound (see :class:`~repro.core.monitor.AutoSynchMonitor`);
+nothing else selects it.  The module-level toggle
+(:func:`set_incremental_enabled`) is the test seam: the equivalence property
+suite uses it to flip new monitors between the incremental and the
+exhaustive search without touching any other configuration, so the two can
+be compared observationally on otherwise identical runs.
 """
 
 from __future__ import annotations
@@ -48,13 +51,14 @@ _INCREMENTAL_DEFAULT = True
 
 
 def incremental_enabled() -> bool:
-    """Whether newly constructed monitors default to incremental relay."""
+    """Whether newly constructed monitors use incremental relay."""
     return _INCREMENTAL_DEFAULT
 
 
 def set_incremental_enabled(enabled: bool) -> bool:
-    """Set the process-wide incremental-relay default; returns the previous
-    value (so tests can restore it in a ``finally``)."""
+    """Switch incremental relay on or off for newly constructed monitors
+    (the test seam); returns the previous value (so tests can restore it in
+    a ``finally``)."""
     global _INCREMENTAL_DEFAULT
     previous = _INCREMENTAL_DEFAULT
     _INCREMENTAL_DEFAULT = bool(enabled)

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.signalling import describe_policy
 from repro.experiments import EXPERIMENTS, get_experiment
-from repro.predicates.codegen import DEFAULT_ENGINE, ENGINES
 from repro.harness.execution import available_executors, describe_executor
 from repro.harness.report import format_series_table
 from repro.harness.results import mechanism_label
@@ -149,16 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--eval-engine",
-        choices=ENGINES,
-        default=None,
-        help=(
-            "predicate-evaluation engine for the automatic monitors "
-            "(default: each experiment's configured engine, normally "
-            f"{DEFAULT_ENGINE!r})"
-        ),
-    )
-    parser.add_argument(
         "--check-shapes",
         action="store_true",
         help="evaluate each experiment's qualitative shape checks and report pass/fail",
@@ -198,7 +187,6 @@ def _run_one(experiment, args: argparse.Namespace) -> bool:
         scale=args.scale,
         runner=runner,
         mechanisms=args.mechanism_names,
-        eval_engine=args.eval_engine,
         executor=args.executor,
         jobs=args.jobs,
         run_timeout=args.run_timeout,
@@ -231,7 +219,6 @@ def _run_one(experiment, args: argparse.Namespace) -> bool:
         config = experiment.configured(
             config,
             args.mechanism_names,
-            args.eval_engine,
             args.executor,
             args.jobs,
             args.run_timeout,

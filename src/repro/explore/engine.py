@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.errors import MonitorError, RelayInvarianceError, WaitTimeout
 from repro.core.monitor import MonitorBase
 from repro.harness.execution import FrozenMapping, create_executor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems import get_problem
 from repro.runtime.simulation import (
     DeadlockError,
@@ -133,7 +132,6 @@ class ExploreTask:
     threads: int = 2
     total_ops: int = 4
     seed: int = 0
-    eval_engine: str = DEFAULT_ENGINE
     validate: bool = False
     max_steps: Optional[int] = DEFAULT_MAX_STEPS
     #: Liveness budget (see :class:`StarvationBudgetWatcher`); ``None``
@@ -192,7 +190,6 @@ class ExploreTask:
             "threads": self.threads,
             "total_ops": self.total_ops,
             "seed": self.seed,
-            "eval_engine": self.eval_engine,
             "validate": self.validate,
             "max_steps": self.max_steps,
             "starvation_budget": self.starvation_budget,
@@ -212,7 +209,11 @@ class ExploreTask:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExploreTask":
-        return cls(**data)
+        # Keys of retired task options (e.g. the predicate-evaluation engine
+        # selector older repro files carry) are dropped, so those files
+        # still load and replay.
+        known = {spec.name for spec in fields(cls)}
+        return cls(**{key: value for key, value in data.items() if key in known})
 
 
 @dataclass(frozen=True)
@@ -581,7 +582,6 @@ def run_schedule(
         total_ops=task.total_ops,
         seed=task.seed,
         validate=task.validate,
-        eval_engine=task.eval_engine,
         **runtime.params,
     )
     if task.wait_timeout is not None:

@@ -23,10 +23,10 @@ from repro.harness.results import RunResult
 
 __all__ = [
     "UsageBreakdown",
-    "EvalEngineBreakdown",
+    "EvalBreakdown",
     "cpu_usage_breakdown",
-    "eval_engine_breakdown",
-    "eval_engine_rows",
+    "eval_breakdown",
+    "eval_breakdown_rows",
     "modelled_breakdown_from_counters",
     "series_usage_breakdowns",
     "breakdown_rows",
@@ -174,14 +174,15 @@ def series_usage_breakdowns(
 
 
 @dataclass(frozen=True)
-class EvalEngineBreakdown:
+class EvalBreakdown:
     """Compiled-vs-interpreted attribution of one run's predicate work.
 
-    Counters come straight from ``MonitorStats``: how many evaluations each
-    engine served, the wall-clock spent inside them (populated when
-    profiling was on), and how many shared reads the per-pass EvalContext
-    caches absorbed.  This is what lets a report attribute the compiled
-    engine's win instead of just observing a faster total.
+    Counters come straight from ``MonitorStats``: how many evaluations the
+    compiled closures and the interpreter fallback each served, the
+    wall-clock spent inside them (populated when profiling was on), and how
+    many shared reads the per-pass EvalContext caches absorbed.  This is
+    what lets a report attribute compilation's win instead of just
+    observing a faster total.
     """
 
     mechanism: str
@@ -204,15 +205,15 @@ class EvalEngineBreakdown:
 
     @property
     def compiled_share(self) -> float:
-        """Fraction of evaluations served by the compiled engine."""
+        """Fraction of evaluations served by compiled closures."""
         total = self.total_evaluations
         return self.compiled_evaluations / total if total else 0.0
 
 
-def eval_engine_breakdown(result: RunResult) -> EvalEngineBreakdown:
-    """Extract the evaluation-engine attribution from one run's stats."""
+def eval_breakdown(result: RunResult) -> EvalBreakdown:
+    """Extract the compiled/interpreted attribution from one run's stats."""
     stats = result.monitor_stats
-    return EvalEngineBreakdown(
+    return EvalBreakdown(
         mechanism=result.mechanism,
         compiled_evaluations=int(stats.get("compiled_evaluations", 0)),
         interpreted_evaluations=int(stats.get("interpreted_evaluations", 0)),
@@ -225,10 +226,10 @@ def eval_engine_breakdown(result: RunResult) -> EvalEngineBreakdown:
     )
 
 
-def eval_engine_rows(
-    breakdowns: Sequence[EvalEngineBreakdown],
+def eval_breakdown_rows(
+    breakdowns: Sequence[EvalBreakdown],
 ) -> List[List[object]]:
-    """Table rows: per-engine evaluation counts, timings and cache hits."""
+    """Table rows: compiled/interpreted counts, timings and cache hits."""
     rows: List[List[object]] = []
     for breakdown in breakdowns:
         rows.append(

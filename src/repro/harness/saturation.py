@@ -11,7 +11,6 @@ import time
 from typing import Callable, Optional
 
 from repro.harness.results import RunResult
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Problem
 from repro.runtime.api import Backend
 from repro.runtime.registry import available_backends, create_backend
@@ -54,7 +53,6 @@ def run_workload(
     profile: bool = False,
     verify: bool = True,
     validate: bool = False,
-    eval_engine: str = DEFAULT_ENGINE,
     **problem_params: object,
 ) -> RunResult:
     """Build and execute one saturation run, returning its measurements.
@@ -62,8 +60,7 @@ def run_workload(
     ``validate`` enables the automatic monitor's relay-invariance checking
     (a :class:`~repro.core.errors.MonitorError` aborts the run if a relay
     step ever loses a signal); ``verify`` re-checks the problem's own
-    invariants after the run; ``eval_engine`` selects the automatic
-    monitors' predicate-evaluation engine (``"compiled"``/``"interpreted"``).
+    invariants after the run.
     """
     spec = problem.build(
         mechanism,
@@ -73,7 +70,6 @@ def run_workload(
         seed=seed,
         profile=profile,
         validate=validate,
-        eval_engine=eval_engine,
         **problem_params,
     )
     backend.reset_metrics()

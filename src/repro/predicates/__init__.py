@@ -39,13 +39,7 @@ from repro.predicates.classify import (
     is_shared_predicate,
     scope_of,
 )
-from repro.predicates.codegen import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    compile_expr,
-    compiled_source,
-    validate_engine,
-)
+from repro.predicates.codegen import compile_expr, compiled_source
 from repro.predicates.dnf import Conjunction, DNFPredicate, to_dnf, to_nnf
 from repro.predicates.errors import PredicateError, PredicateParseError
 from repro.predicates.evaluator import (
@@ -71,9 +65,7 @@ __all__ = [
     "CompiledPredicate",
     "Conjunction",
     "Const",
-    "DEFAULT_ENGINE",
     "DNFPredicate",
-    "ENGINES",
     "EvalContext",
     "EvaluationError",
     "Expr",
@@ -105,6 +97,5 @@ __all__ = [
     "to_dnf",
     "to_nnf",
     "unparse",
-    "validate_engine",
     "walk",
 ]

@@ -25,10 +25,10 @@ Generated functions have the signature ``fn(state, reader, locals_map)`` and
 return the raw (uncoerced) value, mirroring ``evaluate``.
 
 :func:`compile_expr` returns ``None`` for IR it cannot lower (unknown node
-types, unsupported operators) — callers fall back to the interpreter, so the
-compiled engine is a pure optimisation, never a behaviour change.  The knob
-selecting between the engines is the ``eval_engine`` string validated by
-:func:`validate_engine` (``"compiled"``, the default, or ``"interpreted"``).
+types, unsupported operators) — callers fall back to the interpreter, so
+compilation is a pure optimisation, never a behaviour change.  Every
+evaluation takes the compiled closure when one exists and the interpreter
+otherwise, including after a closure has been quarantined for misbehaving.
 """
 
 from __future__ import annotations
@@ -55,20 +55,9 @@ from repro.predicates.ast_nodes import (
     UnaryOp,
     unparse,
 )
-# The engine constants live in the evaluator (the module both engines share)
-# and are re-exported here for backwards compatibility.
-from repro.predicates.evaluator import (
-    _BUILTINS,
-    DEFAULT_ENGINE,
-    ENGINES,
-    EvaluationError,
-    validate_engine,
-)
+from repro.predicates.evaluator import _BUILTINS, EvaluationError
 
 __all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "validate_engine",
     "compile_expr",
     "compile_batch",
     "compiled_source",

@@ -98,7 +98,7 @@ class GlobalizedPredicate:
         return fn
 
     def quarantine(self) -> None:
-        """Permanently demote this predicate to the interpreted engine.
+        """Permanently demote this predicate to the interpreter.
 
         Called when the compiled closure raised a non-semantic exception
         (anything but ``EvaluationError``, whose class parity with the
@@ -205,6 +205,11 @@ class CompiledPredicate:
     @property
     def is_complex(self) -> bool:
         return bool(self.local_names)
+
+    def read_set(self) -> frozenset:
+        """The shared-variable names this predicate reads (see
+        :meth:`GlobalizedPredicate.read_set`)."""
+        return self.shared_names
 
     def compiled_fn(self) -> Optional[Callable]:
         """The (possibly complex) predicate as a native closure, or None.

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Oracle, Problem, WorkloadSpec
 from repro.runtime.api import Backend
 
@@ -173,7 +172,6 @@ class BoundedBufferProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         capacity: int = DEFAULT_CAPACITY,
         **params: object,
     ) -> WorkloadSpec:
@@ -185,7 +183,7 @@ class BoundedBufferProblem(Problem):
             monitor = ExplicitBoundedBuffer(capacity, backend=backend, profile=profile)
         else:
             monitor = AutoBoundedBuffer(
-                capacity, **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine)
+                capacity, **self.monitor_kwargs(mechanism, backend, profile, validate)
             )
 
         # ``total_ops`` counts puts + takes; items produced must equal items

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Oracle, Problem, WorkloadSpec
 from repro.runtime.api import Backend
 
@@ -161,7 +160,6 @@ class H2OProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         **params: object,
     ) -> WorkloadSpec:
         self._check_mechanism(mechanism)
@@ -172,7 +170,7 @@ class H2OProblem(Problem):
             monitor = ExplicitWaterFactory(backend=backend, profile=profile)
         else:
             monitor = AutoWaterFactory(
-                **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine)
+                **self.monitor_kwargs(mechanism, backend, profile, validate)
             )
 
         # Each molecule is one oxygen_ready() call plus two hydrogen_ready()

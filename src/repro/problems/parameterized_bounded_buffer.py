@@ -21,7 +21,6 @@ import random
 from typing import List, Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Oracle, Problem, WorkloadSpec
 from repro.problems.bounded_buffer import buffer_oracles
 from repro.runtime.api import Backend
@@ -136,7 +135,6 @@ class ParameterizedBoundedBufferProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         capacity: int = DEFAULT_CAPACITY,
         max_batch: int = DEFAULT_MAX_BATCH,
         **params: object,
@@ -152,7 +150,7 @@ class ParameterizedBoundedBufferProblem(Problem):
             )
         else:
             monitor = AutoParameterizedBoundedBuffer(
-                capacity, **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine)
+                capacity, **self.monitor_kwargs(mechanism, backend, profile, validate)
             )
 
         # Pre-draw every consumer's take sizes so that the producer knows the

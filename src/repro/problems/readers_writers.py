@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Oracle, Problem, WorkloadSpec
 from repro.runtime.api import Backend
 
@@ -187,7 +186,6 @@ class ReadersWritersProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         readers_per_writer: int = DEFAULT_READERS_PER_WRITER,
         **params: object,
     ) -> WorkloadSpec:
@@ -201,7 +199,7 @@ class ReadersWritersProblem(Problem):
             monitor = ExplicitReadersWriters(backend=backend, profile=profile)
         else:
             monitor = AutoReadersWriters(
-                **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine)
+                **self.monitor_kwargs(mechanism, backend, profile, validate)
             )
 
         workers = writers + readers

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.monitor import AutoSynchMonitor, ExplicitMonitor
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Oracle, Problem, WorkloadSpec
 from repro.runtime.api import Backend
 
@@ -180,7 +179,6 @@ class SleepingBarberProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         chairs: int = DEFAULT_CHAIRS,
         **params: object,
     ) -> WorkloadSpec:
@@ -196,7 +194,7 @@ class SleepingBarberProblem(Problem):
             monitor = AutoBarberShop(
                 chairs,
                 num_customers=threads,
-                **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine),
+                **self.monitor_kwargs(mechanism, backend, profile, validate),
             )
 
         visits_per_customer = self._split_ops(max(total_ops, threads), threads)

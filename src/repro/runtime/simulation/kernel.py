@@ -14,7 +14,9 @@ the exact quantities the paper's evaluation reasons about.
 from __future__ import annotations
 
 import enum
+import os
 import threading
+import weakref
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -228,6 +230,26 @@ class _Carrier:
             self._backend._carry(self, sim_thread)
 
 
+#: Every live backend, so a forked child can forget its parent's carriers.
+_LIVE_BACKENDS: "weakref.WeakSet[SimulationBackend]" = weakref.WeakSet()
+
+
+def _forget_inherited_carriers() -> None:
+    """Empty every backend's idle-carrier pool in a freshly forked child.
+
+    ``fork`` copies the parked :class:`_Carrier` objects but not their OS
+    threads, so dispatching a job onto one would block forever.  A
+    fork-started worker (process pools inheriting a cached backend) must
+    spawn carriers of its own instead.
+    """
+    for backend in list(_LIVE_BACKENDS):
+        backend._idle_carriers = []
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inherited_carriers)
+
+
 class _SimThread:
     """Book-keeping for one simulated thread."""
 
@@ -385,6 +407,7 @@ class SimulationBackend(Backend):
         #: Parked carrier OS threads, reused across runs (see
         #: :class:`_Carrier`).
         self._idle_carriers: List[_Carrier] = []
+        _LIVE_BACKENDS.add(self)
         #: Set when a run left carrier threads stuck (wall-clock hang);
         #: a tainted backend refuses :meth:`recycle` — callers must build
         #: a fresh one.

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.core.monitor import AutoSynchMonitor
 from repro.predicates.ast_nodes import Expr, Subscript
 from repro.predicates.classify import classify, free_names
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.predicates.errors import PredicateError
 from repro.predicates.evaluator import evaluate, evaluate_bool
 from repro.predicates.parser import parse_predicate
@@ -244,7 +243,6 @@ class ScenarioProblem(Problem):
         seed: int = 0,
         profile: bool = False,
         validate: bool = False,
-        eval_engine: str = DEFAULT_ENGINE,
         **params: object,
     ) -> WorkloadSpec:
         self._check_mechanism(mechanism)
@@ -288,7 +286,7 @@ class ScenarioProblem(Problem):
 
         monitor = self.monitor_cls(
             state,
-            **self.monitor_kwargs(mechanism, backend, profile, validate, eval_engine),
+            **self.monitor_kwargs(mechanism, backend, profile, validate),
         )
 
         targets: List[Callable[[], None]] = []

@@ -29,7 +29,6 @@ from repro.explore import (
     shrink_failure,
     write_repro,
 )
-from repro.predicates.codegen import DEFAULT_ENGINE
 from repro.problems.base import Problem, WorkloadSpec
 
 LOSSY = "lossy_relay_test"
@@ -89,7 +88,6 @@ class UnorderedDiningProblem(Problem):
         seed=0,
         profile=False,
         validate=False,
-        eval_engine=DEFAULT_ENGINE,
         **params,
     ) -> WorkloadSpec:
         self._check_mechanism(mechanism)

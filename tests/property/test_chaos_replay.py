@@ -31,6 +31,12 @@ from repro.runtime.simulation import RandomScheduler
 
 SEED_BAND = range(20)
 
+#: A chaos repro written before ``ExploreTask`` dropped its evaluation-engine
+#: field, so its task still carries the retired ``eval_engine`` key.  Its
+#: plan poisons the second compiled evaluation (forcing a quarantine) and
+#: then drops a signal, deadlocking h2o.
+LEGACY_REPRO = Path(__file__).resolve().parent / "data" / "legacy_chaos_repro.json"
+
 
 def _faulted_task(seed):
     # dropped_signal without self-healing deadlocks on many seeds in the
@@ -72,6 +78,17 @@ def chaos_repro(tmp_path_factory):
     path = tmp_path_factory.mktemp("chaos") / "chaos_repro.json"
     write_repro(path, repro_payload(task, failure, "chaos", len(prefix)))
     return task, failure, path
+
+
+class TestLegacyRepro:
+    def test_pre_change_payload_replays_digest_identically(self):
+        payload = json.loads(LEGACY_REPRO.read_text())
+        assert payload["task"]["eval_engine"] == "compiled"
+        result = replay_repro(LEGACY_REPRO)
+        assert result.reproduced, result.describe()
+        assert result.outcome.monitor_stats["predicate_quarantines"] == 1
+        fired = [event["fault"] for event in result.outcome.fault_events]
+        assert fired == ["predicate_error", "dropped_signal"]
 
 
 class TestChaosReplayInProcess:

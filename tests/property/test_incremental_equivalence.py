@@ -2,11 +2,13 @@
 
 The incremental relay path (write tracking + dirty-set candidate sets +
 fused batch closures) is a pure search optimisation: for any (problem,
-mechanism, engine, seed) the run under incremental relay must produce the
-same outcome kind, the same scheduler decision trace, the same event digest
-and the same backend metrics (context switches included) as the run with
-the process-wide toggle off.  ``validate=True`` arms the relay-invariance
-check on every pass, so an unsound skip would also fail loudly mid-run.
+mechanism, seed) the run under incremental relay must produce the same
+outcome kind, the same scheduler decision trace, the same event digest and
+the same backend metrics (context switches included) as the run with the
+process-wide toggle off.  ``validate=True`` arms the relay-invariance check
+on every pass, so an unsound skip would also fail loudly mid-run.  Some runs
+poison the n-th compiled evaluation, so a quarantined predicate answers
+through the interpreter fallback for the rest of the run.
 """
 
 from __future__ import annotations
@@ -20,7 +22,17 @@ from repro.runtime.simulation import RandomScheduler
 # Small, fast configurations; the property is about equivalence, not scale.
 PROBLEMS = ("bounded_buffer", "readers_writers", "round_robin", "h2o")
 MECHANISMS = ("autosynch", "autosynch_t", "relay_batched", "relay_fifo")
-ENGINES = ("compiled", "interpreted")
+
+
+def _poison_plan(nth):
+    """Fault plan raising from the *nth* compiled evaluation (None: no
+    faults): the monitor quarantines that predicate to the interpreter."""
+    if nth is None:
+        return None
+    return {
+        "name": f"poison-{nth}",
+        "faults": [{"kind": "predicate_error", "params": {"nth": nth}}],
+    }
 
 
 def _run(task: ExploreTask, seed: int, incremental: bool):
@@ -35,18 +47,18 @@ def _run(task: ExploreTask, seed: int, incremental: bool):
 @given(
     problem=st.sampled_from(PROBLEMS),
     mechanism=st.sampled_from(MECHANISMS),
-    engine=st.sampled_from(ENGINES),
+    poison=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_incremental_matches_exhaustive(problem, mechanism, engine, seed):
+def test_incremental_matches_exhaustive(problem, mechanism, poison, seed):
     task = ExploreTask(
         problem=problem,
         mechanism=mechanism,
         threads=2,
         total_ops=6,
         seed=seed,
-        eval_engine=engine,
         validate=True,
+        fault_plan=_poison_plan(poison),
     )
     incremental = _run(task, seed, incremental=True)
     exhaustive = _run(task, seed, incremental=False)

@@ -17,15 +17,11 @@ from repro.predicates import (
     compile_predicate,
     evaluate,
 )
-from repro.predicates.codegen import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    compile_expr,
-    compiled_source,
-    validate_engine,
-)
+from repro.predicates.codegen import compile_expr, compiled_source
 from repro.predicates.evaluator import _EMPTY_LOCALS, read_shared
 from repro.runtime import SimulationBackend
+
+from test_write_tracking import MisbehavingClosures
 
 
 class State:
@@ -141,14 +137,6 @@ def test_compiled_source_is_inspectable():
     assert "__cg_read(state, 'count')" in source
 
 
-def test_validate_engine():
-    assert validate_engine("compiled") == "compiled"
-    assert validate_engine("interpreted") == "interpreted"
-    assert DEFAULT_ENGINE in ENGINES
-    with pytest.raises(ValueError):
-        validate_engine("jit")
-
-
 class _Buffer(AutoSynchMonitor):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -164,11 +152,12 @@ class _Buffer(AutoSynchMonitor):
         self.count -= 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_monitor_engine_attribution(engine):
+@pytest.mark.parametrize("misbehaving", [False, True])
+def test_monitor_evaluation_attribution(misbehaving):
     backend = SimulationBackend(seed=3)
-    buffer = _Buffer(backend=backend, eval_engine=engine)
-    assert buffer.eval_engine == engine
+    buffer = _Buffer(backend=backend)
+    if misbehaving:
+        buffer._fault_hook = MisbehavingClosures()
 
     def producer():
         for _ in range(8):
@@ -181,19 +170,17 @@ def test_monitor_engine_attribution(engine):
     backend.run([producer, consumer])
     stats = buffer.stats
     assert buffer.count == 0
-    if engine == "compiled":
+    if misbehaving:
+        # Each predicate is quarantined on its first compiled evaluation
+        # (rolled back from the compiled count) and the interpreter answers.
+        assert stats.predicate_quarantines > 0
+        assert stats.interpreted_evaluations > 0
+    else:
         assert stats.compiled_evaluations > 0
         assert stats.interpreted_evaluations == 0
-    else:
-        assert stats.interpreted_evaluations > 0
-        assert stats.compiled_evaluations == 0
-    # Engine attribution splits predicate_evaluations exactly.
+        assert stats.predicate_quarantines == 0
+    # The compiled/interpreted split accounts for every evaluation.
     assert (
         stats.compiled_evaluations + stats.interpreted_evaluations
         == stats.predicate_evaluations
     )
-
-
-def test_monitor_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        _Buffer(backend=SimulationBackend(seed=0), eval_engine="jit")

@@ -4,17 +4,22 @@ The key soundness/performance contract: within one relay search pass the
 monitor lock is held, so one context may serve every shared read from a
 cache — a batch of N entries over the same shared expression costs one
 read — but the cache must never survive into the next pass, where state
-may have changed.
+may have changed.  The contract holds on both evaluation paths: compiled
+closures and the interpreter fallback (reached through a codegen-declined
+expression or a quarantined closure).
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.condition_manager import ConditionManager
 from repro.core.instrumentation import MonitorStats
-from repro.predicates import EvalContext, compile_predicate
-from repro.predicates.ast_nodes import Name, Scope
+from repro.predicates import EvalContext, compile_expr, compile_predicate, to_dnf
+from repro.predicates.ast_nodes import Attribute, Compare, Const, Name, Scope
+from repro.predicates.predicate import GlobalizedPredicate
 from repro.runtime import ThreadingBackend
 
 
@@ -78,21 +83,62 @@ class TestEvalContext:
         assert ctx.read_shared(state, "count") == 1
         assert EvalContext(state).read_shared(state, "count") == 99
 
-    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
-    def test_holds_reads_through_the_cache(self, engine):
+    @pytest.mark.parametrize("quarantined", [False, True])
+    def test_holds_reads_through_the_cache(self, quarantined):
         state = CountingState(count=7)
         stats = MonitorStats()
-        ctx = EvalContext(state, engine=engine, stats=stats)
+        ctx = EvalContext(state, stats=stats)
         form = compile_predicate("count > 0", {"count"}).globalized()
+        if quarantined:
+            form.quarantine()
         for _ in range(4):
             assert ctx.holds(form)
         assert state.reads == {"count": 1}
-        if engine == "compiled":
-            assert stats.compiled_evaluations == 4
-            assert stats.interpreted_evaluations == 0
-        else:
+        if quarantined:
             assert stats.interpreted_evaluations == 4
             assert stats.compiled_evaluations == 0
+        else:
+            assert stats.compiled_evaluations == 4
+            assert stats.interpreted_evaluations == 0
+
+    def test_codegen_declined_predicate_reads_through_the_cache(self):
+        # A non-identifier attribute name is valid IR for the interpreter
+        # (plain getattr) but cannot be lowered to Python source.
+        expr = Compare(">", Attribute(Name("box", Scope.SHARED), "odd-name"), Const(0))
+        assert compile_expr(expr) is None
+        dnf = to_dnf(expr)
+        form = GlobalizedPredicate(
+            source="box.odd-name > 0",
+            expr=dnf.to_expr(),
+            dnf=dnf,
+            tags=(),
+            canonical=dnf.canonical(),
+        )
+        state = CountingState(box=SimpleNamespace(**{"odd-name": 3}))
+        stats = MonitorStats()
+        ctx = EvalContext(state, stats=stats)
+        for _ in range(3):
+            assert ctx.holds(form)
+        assert state.reads == {"box": 1}
+        assert stats.interpreted_evaluations == 3
+        assert stats.compiled_evaluations == 0
+
+    def test_misbehaving_closure_is_quarantined_mid_pass(self):
+        state = CountingState(count=7)
+        stats = MonitorStats()
+        ctx = EvalContext(state, stats=stats)
+        form = compile_predicate("count > 0", {"count"}).globalized()
+
+        def broken(state, reader, locals_map):
+            raise RuntimeError("closure misbehaved")
+
+        object.__setattr__(form, "_compiled_fn", broken)
+        assert ctx.holds(form)
+        assert ctx.holds(form)
+        assert form.quarantined
+        assert stats.predicate_quarantines == 1
+        assert stats.compiled_evaluations == 0
+        assert stats.interpreted_evaluations == 2
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +146,7 @@ class TestEvalContext:
 # ---------------------------------------------------------------------------
 
 
-def make_manager(owner, use_tags, eval_engine="compiled"):
+def make_manager(owner, use_tags):
     backend = ThreadingBackend()
     lock = backend.create_lock()
     stats = MonitorStats()
@@ -110,29 +156,31 @@ def make_manager(owner, use_tags, eval_engine="compiled"):
         lock=lock,
         stats=stats,
         use_tags=use_tags,
-        eval_engine=eval_engine,
     )
     return manager, stats, lock
 
 
-def add_waiting_entry(manager, source, local_values=None):
+def add_waiting_entry(manager, source, local_values=None, quarantined=False):
+    """Register one waiter; *quarantined* demotes its predicate to the
+    interpreter fallback first, as a misbehaving closure would."""
     local_values = local_values or {}
     compiled = compile_predicate(source, {"count"}, set(local_values))
-    entry = manager.acquire_entry(
-        compiled.globalized(local_values), from_shared_predicate=compiled.is_shared
-    )
+    form = compiled.globalized(local_values)
+    if quarantined:
+        form.quarantine()
+    entry = manager.acquire_entry(form, from_shared_predicate=compiled.is_shared)
     manager.add_waiter(entry)
     return entry
 
 
-@pytest.mark.parametrize("eval_engine", ["compiled", "interpreted"])
+@pytest.mark.parametrize("quarantined", [False, True])
 @pytest.mark.parametrize("use_tags", [True, False])
-def test_one_shared_read_per_relay_pass(use_tags, eval_engine):
+def test_one_shared_read_per_relay_pass(use_tags, quarantined):
     """N waiting predicates over the same shared variable cost one read."""
     state = CountingState(count=0)
-    manager, _, lock = make_manager(state, use_tags, eval_engine)
+    manager, stats, lock = make_manager(state, use_tags)
     for threshold in (10, 20, 30):
-        add_waiting_entry(manager, "count >= n", {"n": threshold})
+        add_waiting_entry(manager, "count >= n", {"n": threshold}, quarantined)
 
     lock.acquire()
     try:
@@ -144,14 +192,20 @@ def test_one_shared_read_per_relay_pass(use_tags, eval_engine):
         assert state.reads == {"count": 2}
     finally:
         lock.release()
+    assert (
+        stats.compiled_evaluations + stats.interpreted_evaluations
+        == stats.predicate_evaluations
+    )
+    if quarantined:
+        assert stats.compiled_evaluations == 0
 
 
-@pytest.mark.parametrize("eval_engine", ["compiled", "interpreted"])
-def test_relay_batch_wakes_all_with_one_read(eval_engine):
+@pytest.mark.parametrize("quarantined", [False, True])
+def test_relay_batch_wakes_all_with_one_read(quarantined):
     state = CountingState(count=100)
-    manager, stats, lock = make_manager(state, True, eval_engine)
+    manager, stats, lock = make_manager(state, True)
     entries = [
-        add_waiting_entry(manager, "count >= n", {"n": threshold})
+        add_waiting_entry(manager, "count >= n", {"n": threshold}, quarantined)
         for threshold in (10, 20, 30)
     ]
     lock.acquire()
@@ -163,6 +217,13 @@ def test_relay_batch_wakes_all_with_one_read(eval_engine):
     # One raw read served the tag expression and all three evaluations.
     assert state.reads == {"count": 1}
     assert stats.shared_read_cache_hits + stats.shared_expr_cache_hits > 0
+    assert (
+        stats.compiled_evaluations + stats.interpreted_evaluations
+        == stats.predicate_evaluations
+    )
+    if quarantined:
+        assert stats.interpreted_evaluations == 3
+        assert stats.compiled_evaluations == 0
 
 
 def test_find_missed_waiter_uses_its_own_context():
@@ -196,10 +257,10 @@ def test_fifo_relay_memoizes_too():
     assert state.reads == {"count": 1}
 
 
-def test_context_engine_follows_the_manager_knob():
+def test_quarantined_entry_relays_through_the_interpreter():
     state = CountingState(count=1)
-    manager, stats, lock = make_manager(state, True, eval_engine="interpreted")
-    add_waiting_entry(manager, "count >= n", {"n": 1})
+    manager, stats, lock = make_manager(state, True)
+    add_waiting_entry(manager, "count >= n", {"n": 1}, quarantined=True)
     lock.acquire()
     try:
         assert manager.relay_signal() is True

@@ -1,9 +1,13 @@
 """Unit coverage for the exploration throughput engine's building blocks:
 backend recycling, the predicate artifact memo, verified-depth replay,
-prefix-suppressed footprints and per-stage timings.
+prefix-suppressed footprints, per-stage timings and fork-started workers.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -153,3 +157,33 @@ class TestStageTimings:
         assert all(seconds >= 0.0 for seconds in outcome.timings.values())
         # Oracle checks happen inside the run stage.
         assert outcome.timings["oracle"] <= outcome.timings["run"]
+
+
+class TestForkedWorkers:
+    def test_process_swarm_after_serial_run_does_not_hang(self):
+        # A serial run caches a TaskRuntime whose backend parks carrier
+        # threads; fork-started pool workers inherit those carriers without
+        # their OS threads.  The kernel's at-fork hook must make the
+        # children spawn their own.  Run in a subprocess: a regression hangs
+        # forever, and only a process boundary turns that into a failure.
+        script = textwrap.dedent(
+            """
+            from repro.explore.engine import ExploreTask, explore_swarm
+
+            task = ExploreTask(problem="h2o", mechanism="autosynch",
+                               threads=3, total_ops=9)
+            serial = explore_swarm(task, schedules=8)
+            forked = explore_swarm(task, schedules=8, executor="process", jobs=2)
+            assert forked.schedules_visited == serial.schedules_visited == 8
+            assert forked.failures_total == serial.failures_total
+            print("done")
+            """
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        assert "done" in completed.stdout

@@ -17,7 +17,7 @@ class DeclaredMonitor(FakeMonitor):
     _tracked_write_names = frozenset({"items"})
 
 
-def make_manager(owner, use_tags=False, tracker=None, eval_engine="compiled"):
+def make_manager(owner, use_tags=False, tracker=None):
     backend = FakeBackend()
     stats = MonitorStats()
     manager = ConditionManager(
@@ -26,20 +26,23 @@ def make_manager(owner, use_tags=False, tracker=None, eval_engine="compiled"):
         lock=backend.create_lock(),
         stats=stats,
         use_tags=use_tags,
-        eval_engine=eval_engine,
         write_tracker=tracker,
     )
     return manager, stats
 
 
-def park(manager, source, shared, local_values=None):
-    """Register *source* and add one waiter, like a thread about to block."""
+def park(manager, source, shared, local_values=None, quarantined=False):
+    """Register *source* and add one waiter, like a thread about to block.
+
+    *quarantined* demotes the predicate to the interpreter fallback first,
+    as a misbehaving compiled closure would.
+    """
     local_values = local_values or {}
     compiled = compile_predicate(source, shared, set(local_values))
-    entry = manager.acquire_entry(
-        compiled.globalized(local_values),
-        from_shared_predicate=compiled.is_shared,
-    )
+    form = compiled.globalized(local_values)
+    if quarantined:
+        form.quarantine()
+    entry = manager.acquire_entry(form, from_shared_predicate=compiled.is_shared)
     manager.add_waiter(entry)
     return entry
 
@@ -82,17 +85,23 @@ class TestDirtySetSearch:
         assert stats.predicate_evaluations == 2
         assert stats.relay_entries_skipped == 0
 
-    def test_interpreted_engine_falls_back_to_exhaustive(self):
+    def test_quarantined_entry_is_skipped_until_written(self):
+        # The interpreter fallback answers for a quarantined predicate, and
+        # dirty-set skipping applies to it exactly as to a compiled one.
+        tracker = WriteTracker()
         owner = FakeMonitor(flag=0)
-        manager, stats = make_manager(
-            owner, tracker=WriteTracker(), eval_engine="interpreted"
-        )
-        assert manager.incremental is False
-        park(manager, "flag == 1", {"flag"})
+        manager, stats = make_manager(owner, tracker=tracker)
+        assert manager.incremental is True
+        park(manager, "flag == 1", {"flag"}, quarantined=True)
         assert not manager.relay_signal()
         assert not manager.relay_signal()
-        assert stats.predicate_evaluations == 2
-        assert stats.relay_entries_skipped == 0
+        assert stats.predicate_evaluations == 1
+        assert stats.relay_entries_skipped == 1
+        owner.flag = 1
+        tracker.bump("flag")
+        assert manager.relay_signal()
+        assert stats.interpreted_evaluations == stats.predicate_evaluations == 2
+        assert stats.compiled_evaluations == 0
 
     def test_container_fields_are_never_marked_clean(self):
         tracker = WriteTracker()

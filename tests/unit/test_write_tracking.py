@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.monitor import AutoSynchMonitor
 from repro.core.write_tracking import (
     WriteTracker,
@@ -18,6 +16,22 @@ class Cell(AutoSynchMonitor):
         super().__init__(**kwargs)
         self.value = 0
         self._hidden = 0
+
+
+class Latch(Cell):
+    def await_value(self, target):
+        self.wait_until("value >= target", target=target)
+
+    def set_value(self, value):
+        self.value = value
+
+
+class MisbehavingClosures:
+    """Fault hook under which every compiled evaluation raises a
+    non-semantic error, forcing quarantine and interpreter fallback."""
+
+    def on_compiled_eval(self, monitor):
+        raise RuntimeError("compiled closure misbehaved")
 
 
 class CustomSetattrCell(Cell):
@@ -110,13 +124,13 @@ class TestMonitorIntegration:
         cell._bump_write("value")
         assert tracker.version("value") == tracker.clock > clock
 
-    def test_incremental_relay_kwarg_overrides_global(self):
-        backend = SimulationBackend(seed=1)
-        assert Cell(backend=backend, incremental_relay=False).write_tracker is None
+    def test_global_toggle_selects_tracking(self):
+        assert Cell(backend=SimulationBackend(seed=1)).write_tracker is not None
         previous = set_incremental_enabled(False)
         try:
-            cell = Cell(backend=SimulationBackend(seed=1), incremental_relay=True)
-            assert cell.write_tracker is not None
+            cell = Cell(backend=SimulationBackend(seed=1))
+            assert cell.write_tracker is None
+            assert cell.condition_manager.incremental is False
         finally:
             set_incremental_enabled(previous)
 
@@ -128,31 +142,34 @@ class TestMonitorIntegration:
         cell = PreprocessedCell(backend=SimulationBackend(seed=1))
         assert cell.write_tracker is None
 
-    def test_interpreted_engine_disables_manager_incremental(self):
-        cell = Cell(backend=SimulationBackend(seed=1), eval_engine="interpreted")
-        # The monitor may still track writes, but the manager must not use
-        # them: the interpreted engine stays a pure exhaustive baseline.
-        assert cell.condition_manager.incremental is False
-
-    def test_compiled_engine_manager_is_incremental(self):
+    def test_manager_is_incremental(self):
         cell = Cell(backend=SimulationBackend(seed=1))
         assert cell.condition_manager.incremental is True
+
+    def test_interpreter_fallback_keeps_incremental_relay(self):
+        # Every compiled closure misbehaves, is quarantined and answered by
+        # the interpreter; the relay passes stay incremental regardless.
+        backend = SimulationBackend(seed=1)
+        latch = Latch(backend=backend)
+        latch._fault_hook = MisbehavingClosures()
+
+        def waiter():
+            latch.await_value(3)
+
+        def setter():
+            for value in (1, 2, 3):
+                latch.set_value(value)
+
+        backend.run([waiter, waiter, setter])
+        stats = latch.stats
+        assert latch.condition_manager.incremental is True
+        assert stats.predicate_quarantines > 0
+        assert stats.interpreted_evaluations > 0
+        assert (
+            stats.compiled_evaluations + stats.interpreted_evaluations
+            == stats.predicate_evaluations
+        )
 
     def test_autosynch_t_policy_opts_out(self):
         cell = Cell(backend=SimulationBackend(seed=1), signalling="autosynch_t")
         assert cell.condition_manager.incremental is False
-
-
-class TestEngineValidation:
-    def test_unknown_engine_lists_valid_engines(self):
-        with pytest.raises(ValueError) as excinfo:
-            Cell(backend=SimulationBackend(seed=1), eval_engine="copmiled")
-        message = str(excinfo.value)
-        assert "unknown eval engine 'copmiled'" in message
-        assert "compiled" in message and "interpreted" in message
-
-    def test_eval_context_validates_engine(self):
-        from repro.predicates import EvalContext
-
-        with pytest.raises(ValueError, match="available engines"):
-            EvalContext(object(), engine="jit")
